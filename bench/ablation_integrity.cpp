@@ -1,10 +1,11 @@
 // Ablation A5: cost of the integrity substrate (PDP/PoR layer).
 //
 // Measures (a) per-operation overhead the hash tree adds on the server
-// (delete/insert wall time with integrity on vs off), (b) audit proof size
-// and verification cost vs n, and (c) the client-side root-tracking cost of
-// a verified deletion. Expected: O(log n) proof sizes, microsecond-level
-// maintenance — integrity is cheap relative to the deletion exchange.
+// (single and bulk delete wall time with integrity on vs off), (b) audit
+// proof size and verification cost vs n, and (c) the client-side
+// root-tracking cost of a verified deletion. Expected: O(log n) proof
+// sizes, microsecond-level maintenance — integrity is cheap relative to the
+// deletion exchange.
 #include "integrity/audit.h"
 #include "support/bench_util.h"
 
@@ -27,6 +28,35 @@ double deletes_per_ms(bool integrity_on, std::size_t n, LatencyRecorder& lat) {
   for (std::size_t i = 0; i < reps; ++i) {
     LatencyRecorder::Timed t(lat);
     if (!client.erase_item(fh.value(), fgad::proto::ItemRef::id(i * 3))) {
+      std::abort();
+    }
+  }
+  return sw.elapsed_ms() / reps;
+}
+
+// Wall time of one erase_items batch (merged cut, one key rotation) of m
+// items spread evenly over the file. With integrity on, the server repairs
+// only the ancestors of the relocated leaves.
+double bulk_deletes_ms(bool integrity_on, std::size_t n, std::size_t m,
+                       LatencyRecorder& lat) {
+  fgad::cloud::CloudServer server{fgad::cloud::CloudServer::Options{
+      /*track_duplicates=*/false, integrity_on}};
+  fgad::net::DirectChannel ch(
+      [&server](fgad::BytesView req) { return server.handle(req); });
+  fgad::crypto::DeterministicRandom rnd(n + m);
+  fgad::client::Client client(ch, rnd);
+  auto fh = client.outsource(1, n, small_item);
+  if (!fh) std::abort();
+  const std::size_t stride = n / m;
+  const std::size_t reps = std::min<std::size_t>(stride, 32);
+  std::vector<fgad::proto::ItemRef> refs(m);
+  fgad::Stopwatch sw;
+  for (std::size_t b = 0; b < reps; ++b) {
+    for (std::size_t k = 0; k < m; ++k) {
+      refs[k] = fgad::proto::ItemRef::id(b + k * stride);
+    }
+    LatencyRecorder::Timed t(lat);
+    if (!client.erase_items(fh.value(), refs)) {
       std::abort();
     }
   }
@@ -56,6 +86,29 @@ int main() {
       .set("delete_ms_integrity_on", on);
   off_lat.emit(meta, "delete_integrity_off");
   on_lat.emit(meta, "delete_integrity_on");
+
+  const std::size_t bulk_n = std::min<std::size_t>(max_n(), 65'536);
+  std::printf("\nbulk deletion (erase_items, n = %zu), wall time per batch:\n",
+              bulk_n);
+  std::printf("%8s %18s %18s %10s\n", "m", "integrity off ms",
+              "integrity on ms", "overhead");
+  for (std::size_t m : {16ull, 256ull}) {
+    if (m > bulk_n / 2) break;
+    LatencyRecorder bulk_off_lat;
+    LatencyRecorder bulk_on_lat;
+    const double bulk_off = bulk_deletes_ms(false, bulk_n, m, bulk_off_lat);
+    const double bulk_on = bulk_deletes_ms(true, bulk_n, m, bulk_on_lat);
+    std::printf("%8zu %18.4f %18.4f %9.1f%%\n", m, bulk_off, bulk_on,
+                100.0 * (bulk_on - bulk_off) / bulk_off);
+    for (const bool on : {false, true}) {
+      auto& row = json.row();
+      row.set("n", bulk_n)
+          .set("bulk_m", m)
+          .set("integrity", on ? "on" : "off")
+          .set("bulk_delete_ms", on ? bulk_on : bulk_off);
+      (on ? bulk_on_lat : bulk_off_lat).emit(row, "bulk_delete");
+    }
+  }
 
   std::printf("\naudit proof size and verification vs n:\n");
   std::printf("%12s %16s %18s %20s\n", "n", "proof bytes", "verify us",

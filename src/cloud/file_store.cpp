@@ -219,23 +219,7 @@ Status FileStore::delete_many_commit(const core::DeleteManyCommit& commit) {
   }
   const core::ModulationTree::DeleteManyOutcome& out = outcome.value();
   if (integrity_) {
-    // The old hash tree is still intact: every surviving leaf's hash lives
-    // at its pre-deletion node (its own id if it stayed in place, or the
-    // relocation source). Rebuilding from those digests is O(n') internal
-    // hashing with zero ciphertext re-hashing.
-    const std::size_t n2 = tree_.leaf_count();
-    std::unordered_map<NodeId, NodeId> source;  // new node -> old node
-    source.reserve(out.leaf_relocations.size());
-    for (const auto& rl : out.leaf_relocations) {
-      source.emplace(rl.to, rl.from);
-    }
-    std::vector<crypto::Md> hashes(n2);
-    for (std::size_t i = 0; i < n2; ++i) {
-      const NodeId v = static_cast<NodeId>((n2 - 1) + i);
-      const auto it = source.find(v);
-      hashes[i] = integrity_->node_hash(it == source.end() ? v : it->second);
-    }
-    integrity_->build(hashes);
+    integrity_->relocate_leaves(out.leaf_relocations, tree_.node_count());
   }
   for (std::uint64_t slot : out.removed_item_slots) {
     if (auto st = items_.erase(static_cast<std::uint32_t>(slot)); !st) {

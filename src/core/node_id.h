@@ -31,6 +31,14 @@ constexpr NodeId parent_of(NodeId v) noexcept { return (v - 1) / 2; }
 constexpr NodeId left_child(NodeId v) noexcept { return 2 * v + 1; }
 constexpr NodeId right_child(NodeId v) noexcept { return 2 * v + 2; }
 
+/// One leaf relocation of a deletion's rebalancing move: the leaf at node
+/// `from` (in the chopped tail) moves to node `to` (below the new node
+/// count).
+struct LeafReloc {
+  NodeId from;
+  NodeId to;
+};
+
 /// Sibling of a non-root node.
 constexpr NodeId sibling_of(NodeId v) noexcept {
   return (v % 2 == 1) ? v + 1 : v - 1;

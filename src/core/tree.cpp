@@ -537,7 +537,7 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
       dup_add(link_[h]);
     }
     outcome.moves.push_back(LeafMove{leaves_[ref].item_slot, h});
-    outcome.leaf_relocations.push_back(DeleteManyOutcome::LeafReloc{v, h});
+    outcome.leaf_relocations.push_back(LeafReloc{v, h});
   }
 
   // Step D: chop the tail (chopped slots include formerly internal nodes

@@ -61,12 +61,8 @@ class ModulationTree {
     std::vector<std::uint64_t> removed_item_slots;
     std::vector<LeafMove> moves;
     /// Old-node -> new-node pairs for the relocated leaves, hole-ascending.
-    /// The integrity layer uses these to rebuild its hash tree from the
-    /// pre-deletion node hashes without re-hashing any ciphertext.
-    struct LeafReloc {
-      NodeId from;
-      NodeId to;
-    };
+    /// The integrity layer replays them on its hash tree and rehashes only
+    /// the destinations' ancestors (integrity::HashTree::relocate_leaves).
     std::vector<LeafReloc> leaf_relocations;
   };
 

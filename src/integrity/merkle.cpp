@@ -1,5 +1,8 @@
 #include "integrity/merkle.h"
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <stdexcept>
 
 namespace fgad::integrity {
@@ -11,8 +14,7 @@ using core::sibling_of;
 
 Md leaf_hash(const crypto::Hasher& hasher, std::uint64_t item_id,
              BytesView ciphertext) {
-  Bytes prefix(9);
-  prefix[0] = 0x00;
+  std::array<std::uint8_t, 9> prefix{};
   for (int i = 0; i < 8; ++i) {
     prefix[1 + i] = static_cast<std::uint8_t>(item_id >> (8 * i));
   }
@@ -21,12 +23,11 @@ Md leaf_hash(const crypto::Hasher& hasher, std::uint64_t item_id,
 
 Md internal_hash(const crypto::Hasher& hasher, const Md& left,
                  const Md& right) {
-  Bytes buf;
-  buf.reserve(1 + left.size() + right.size());
-  buf.push_back(0x01);
-  append(buf, left.bytes());
-  append(buf, right.bytes());
-  return hasher.hash(buf);
+  std::array<std::uint8_t, 1 + 2 * Md::kCapacity> buf{};
+  buf[0] = 0x01;
+  std::copy_n(left.data(), left.size(), buf.begin() + 1);
+  std::copy_n(right.data(), right.size(), buf.begin() + 1 + left.size());
+  return hasher.hash(BytesView(buf.data(), 1 + left.size() + right.size()));
 }
 
 Md fold_proof(const crypto::Hasher& hasher, NodeId leaf, const Md& leaf_h,
@@ -125,19 +126,44 @@ void HashTree::delete_leaf(NodeId d) {
   }
   const NodeId last = static_cast<NodeId>(nodes - 1);
   const NodeId p_slot = parent_of(last);
-  if (d == last || d == last - 1) {
-    const Md survivor = hash_[d == last ? last - 1 : last];
-    hash_.resize(nodes - 2);
-    hash_[p_slot] = survivor;
-    bubble_up(p_slot);
-  } else {
-    const Md s_hash = hash_[last - 1];
-    const Md t_hash = hash_[last];
-    hash_.resize(nodes - 2);
-    hash_[p_slot] = s_hash;
-    hash_[d] = t_hash;
-    bubble_up(d);
-    bubble_up(p_slot);
+  // The last pair's survivor is promoted into p_slot; when d is not in the
+  // last pair, the last leaf is also re-homed into d.
+  const std::array<core::LeafReloc, 2> moves{
+      {{d == last - 1 ? last : last - 1, p_slot}, {last, d}}};
+  relocate_leaves(std::span(moves).first(d < last - 1 ? 2 : 1), nodes - 2);
+}
+
+void HashTree::relocate_leaves(std::span<const core::LeafReloc> relocs,
+                               std::size_t new_node_count) {
+  if (new_node_count > hash_.size() ||
+      (new_node_count != 0 && new_node_count % 2 == 0)) {
+    throw std::out_of_range("HashTree::relocate_leaves: bad node count");
+  }
+  // Sources all lie at or past new_node_count and destinations below it,
+  // so no move overwrites a hash another move still has to read.
+  std::vector<NodeId> dirty;
+  dirty.reserve(relocs.size() * (core::depth_of(hash_.size()) + 1));
+  for (const core::LeafReloc& rl : relocs) {
+    if (rl.from >= hash_.size() || rl.from < new_node_count ||
+        !core::is_leaf_in(rl.to, new_node_count) ||
+        rl.to >= new_node_count) {
+      throw std::out_of_range("HashTree::relocate_leaves: bad relocation");
+    }
+    hash_[rl.to] = hash_[rl.from];
+    for (NodeId v = rl.to; !is_root(v);) {
+      v = parent_of(v);
+      dirty.push_back(v);
+    }
+  }
+  hash_.resize(new_node_count);
+  // Every internal node of the shrunk tree was internal before, so only
+  // ancestors of a destination can change. Descending ids put children
+  // before parents; each ancestor is hashed once.
+  std::sort(dirty.begin(), dirty.end(), std::greater<>());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (NodeId v : dirty) {
+    hash_[v] =
+        internal_hash(hasher_, hash_[left_child(v)], hash_[left_child(v) + 1]);
   }
 }
 

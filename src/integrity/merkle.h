@@ -17,6 +17,7 @@
 // the next audit or verified fetch.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/node_id.h"
@@ -86,8 +87,20 @@ class HashTree {
 
   /// Mirrors the deletion balancing move: drops leaf d, promotes the
   /// surviving last-pair sibling into the parent slot, and (when d is not
-  /// in the last pair) re-homes the last leaf into d's slot.
+  /// in the last pair) re-homes the last leaf into d's slot. The m = 1 case
+  /// of relocate_leaves().
   void delete_leaf(NodeId d);
+
+  /// Mirrors a merged-cut bulk deletion (ModulationTree::apply_delete_many):
+  /// copies each relocation's source hash to its destination, shrinks the
+  /// tree to `new_node_count` nodes, and rehashes the deduplicated
+  /// ancestors of the destinations bottom-up. Every source must be
+  /// >= new_node_count, every destination a leaf of the shrunk tree, and
+  /// every leaf slot of the shrunk tree that does not keep its old leaf
+  /// hash (a deleted or formerly internal slot) a destination. With r
+  /// relocations this costs at most r * depth internal hashes.
+  void relocate_leaves(std::span<const core::LeafReloc> relocs,
+                       std::size_t new_node_count);
 
  private:
   void bubble_up(NodeId v);

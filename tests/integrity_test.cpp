@@ -2,8 +2,13 @@
 // and trustless root tracking across mutations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
+
 #include "client/client.h"
 #include "cloud/server.h"
+#include "core/bulk_geometry.h"
 #include "integrity/audit.h"
 #include "integrity/merkle.h"
 #include "support/harness.h"
@@ -115,6 +120,96 @@ TEST(Merkle, MutationsMatchRebuild) {
   tree.delete_leaf(tree.node_count() - 1);  // last leaf
   copy.delete_leaf(copy.node_count() - 1);
   EXPECT_EQ(tree.root(), copy.root());
+}
+
+// Repairs `tree` (built over `hashes`) after deleting `leaves` and checks
+// every node against build() over the old hashes in the new leaf order.
+void expect_bulk_repair_matches_rebuild(const std::vector<Md>& hashes,
+                                        const std::vector<core::NodeId>& leaves,
+                                        bool single_delete) {
+  const std::size_t n = hashes.size();
+  const std::size_t nodes = core::node_count_for(n);
+  const core::BulkGeometry geo = core::bulk_geometry(nodes, leaves);
+  HashTree tree(HashAlg::kSha1);
+  tree.build(hashes);
+  if (single_delete) {
+    ASSERT_EQ(leaves.size(), 1u);
+    tree.delete_leaf(leaves[0]);
+  } else {
+    std::vector<core::LeafReloc> relocs;
+    for (std::size_t i = 0; i < geo.holes.size(); ++i) {
+      relocs.push_back(core::LeafReloc{geo.movers[i], geo.holes[i]});
+    }
+    tree.relocate_leaves(relocs, geo.new_node_count);
+  }
+  ASSERT_EQ(tree.node_count(), geo.new_node_count);
+
+  // New leaf v holds the old hash at source(v): its mover if v is a hole,
+  // else v itself (a survivor that stayed in place).
+  const std::size_t n2 = core::leaf_count_of(geo.new_node_count);
+  std::vector<Md> placed(n2);
+  for (std::size_t i = 0; i < n2; ++i) {
+    core::NodeId src = (n2 - 1) + i;
+    const auto hole = std::find(geo.holes.begin(), geo.holes.end(), src);
+    if (hole != geo.holes.end()) {
+      src = geo.movers[hole - geo.holes.begin()];
+    }
+    ASSERT_GE(src, n - 1) << "source is not an old leaf";
+    placed[i] = hashes[src - (n - 1)];
+  }
+  HashTree rebuilt(HashAlg::kSha1);
+  rebuilt.build(placed);
+  for (core::NodeId v = 0; v < geo.new_node_count; ++v) {
+    ASSERT_EQ(tree.node_hash(v), rebuilt.node_hash(v))
+        << "n=" << n << " m=" << leaves.size() << " node " << v;
+  }
+  EXPECT_EQ(tree.root(), rebuilt.root());
+}
+
+std::vector<core::NodeId> random_leaf_set(std::size_t n, std::size_t m,
+                                          std::mt19937_64& rng) {
+  std::vector<core::NodeId> all(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    all[i] = (n - 1) + i;
+  }
+  std::vector<core::NodeId> picked;
+  std::sample(all.begin(), all.end(), std::back_inserter(picked), m, rng);
+  return picked;  // std::sample keeps the input order: ascending
+}
+
+TEST(Merkle, BulkRepairMatchesRebuild) {
+  std::mt19937_64 rng(12);
+  // Every n in [1, 64] and every m in [1, n], including m = n - 1, m = n
+  // and m > n/2 (the tree shrinks below the old leaf line).
+  for (std::size_t n = 1; n <= 64; ++n) {
+    const auto hashes = make_leaf_hashes(n, 100 + n);
+    for (std::size_t m = 1; m <= n; ++m) {
+      for (int rep = 0; rep < 2; ++rep) {
+        expect_bulk_repair_matches_rebuild(hashes,
+                                           random_leaf_set(n, m, rng), false);
+        if (HasFatalFailure()) return;
+      }
+    }
+    // m = 1 through delete_leaf, every target.
+    for (core::NodeId d = n - 1; d < core::node_count_for(n); ++d) {
+      expect_bulk_repair_matches_rebuild(hashes, {d}, true);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Seeded random sizes up to 4,096 leaves: small batches (m <= 16), any
+  // m, and m > n/2.
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t n = 1 + rng() % 4096;
+    std::size_t m = n - rng() % ((n + 1) / 2);
+    if (trial % 3 == 0) {
+      m = 1 + rng() % std::min<std::size_t>(n, 16);
+    } else if (trial % 3 == 1) {
+      m = 1 + rng() % n;
+    }
+    expect_bulk_repair_matches_rebuild(make_leaf_hashes(n, 7000 + trial),
+                                       random_leaf_set(n, m, rng), false);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Merkle, DomainSeparation) {

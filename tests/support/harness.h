@@ -10,7 +10,9 @@
 //     tree under the current master key, equals its original key, and the
 //     item still decrypts;
 //   * structural — the tree stays left-complete and back-pointers stay
-//     consistent.
+//     consistent;
+//   * integrity — the hash-tree root equals a rebuild from the stored
+//     ciphertexts.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -194,6 +196,22 @@ class Harness {
       ASSERT_TRUE(opened.is_ok()) << "item " << id << " undecryptable";
       ASSERT_EQ(opened.value().plaintext, exp.payload);
       ASSERT_EQ(opened.value().r, id);
+    }
+    // Integrity root: the incrementally repaired hash tree must equal a
+    // from-scratch rebuild over the stored ciphertexts (as cloud::fsck).
+    if (store_.integrity_enabled()) {
+      const std::size_t n = t.leaf_count();
+      crypto::Hasher hasher(alg_);
+      std::vector<Md> hashes(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& rec = store_.items().at(
+            static_cast<std::uint32_t>(t.item_slot((n - 1) + i)));
+        hashes[i] = integrity::leaf_hash(hasher, rec.item_id, rec.ciphertext);
+      }
+      integrity::HashTree rebuilt(alg_);
+      rebuilt.build(hashes);
+      ASSERT_EQ(store_.integrity_root(), rebuilt.root())
+          << "integrity root diverged from a rebuild";
     }
   }
 

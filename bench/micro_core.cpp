@@ -1,15 +1,20 @@
 // Ablation A4: google-benchmark micro suite for the core primitives —
 // chain steps, key derivation by depth, delete planning by tree size, item
-// sealing by payload size. These are the constants behind Figures 5/6.
+// sealing by payload size, and the server's tree mutations with duplicate
+// tracking on and off. These are the constants behind Figures 5/6.
 // Unless the caller passes its own --benchmark_out, results are also written
 // to BENCH_micro_core.json (google-benchmark's native JSON format).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/batch_derive.h"
+#include "core/bulk_geometry.h"
 #include "core/client_math.h"
 #include "core/item_codec.h"
 #include "core/outsource.h"
@@ -195,6 +200,146 @@ void BM_TreeDeleteInfo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeDeleteInfo)->Arg(1 << 10)->Arg(1 << 20);
+
+// Plans a bulk deletion of m = 16 leaves spread over the tree. The client
+// verifier's ledger is sized by the bundle's mentions, so this should grow
+// with log n, not with n.
+void BM_PlanDeleteManyByTreeSize(benchmark::State& state) {
+  TreeFixture f(static_cast<std::size_t>(state.range(0)));
+  constexpr std::size_t kM = 16;
+  const std::size_t n = f.tree.leaf_count();
+  std::vector<NodeId> leaves;
+  for (std::size_t i = 0; i < kM; ++i) {
+    leaves.push_back(static_cast<NodeId>(n - 1 + i * (n / kM) + i));
+  }
+  const auto info = f.tree.delete_many_info_for(leaves);
+  const MasterKey fresh = MasterKey::generate(f.rnd, 20);
+  for (auto _ : state) {
+    auto plan =
+        f.math.plan_delete_many(info, f.master.value(), fresh.value(), f.rnd);
+    if (!plan) {
+      state.SkipWithError("plan_delete_many failed");
+      return;
+    }
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PlanDeleteManyByTreeSize)->Arg(1 << 14)->Arg(1 << 20);
+
+// Server-side commit application on a tree of n leaves, duplicate tracking
+// off (0) or on (1). Commits carry random modulators (the tree checks shape
+// and duplicates, not key preservation); only apply_* is timed. The tree
+// is rebuilt, untimed, once deletions have halved it.
+class ApplyFixture {
+ public:
+  ApplyFixture(std::size_t n, bool track)
+      : n_(n), rnd_(n), tree_(ModulationTree::Config{HashAlg::kSha1, track}) {
+    for (auto& d : deltas_) d = rnd_.random_md(20);
+    rebuild();
+  }
+
+  ModulationTree& tree() { return tree_; }
+
+  void rebuild_if_halved() {
+    if (tree_.leaf_count() < n_ / 2) rebuild();
+  }
+
+  NodeId random_leaf() {
+    const std::size_t n = tree_.leaf_count();
+    return static_cast<NodeId>(n - 1 + rnd_.random_u64() % n);
+  }
+
+  const Md& delta() { return deltas_[next_delta_++ % deltas_.size()]; }
+
+  // A value no tree modulator equals (the tree's values are random).
+  Md fresh() {
+    Md m = Md::zero(20);
+    ++fresh_counter_;
+    std::memcpy(m.data(), &fresh_counter_, sizeof(fresh_counter_));
+    return m;
+  }
+
+ private:
+  void rebuild() {
+    tree_.build(
+        n_, [&](NodeId) { return rnd_.random_md(20); },
+        [&](NodeId v) {
+          return std::pair<Md, std::uint64_t>(rnd_.random_md(20), v);
+        });
+  }
+
+  std::size_t n_;
+  DeterministicRandom rnd_;
+  ModulationTree tree_;
+  std::array<Md, 1024> deltas_;
+  std::size_t next_delta_ = 0;
+  std::uint64_t fresh_counter_ = 0;
+};
+
+// Times one apply_* call; `fn` returns its Result.
+template <typename Fn>
+void time_one(benchmark::State& state, Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(result);
+  state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  if (!result) state.SkipWithError("apply failed");
+}
+
+void BM_TreeApplyDelete(benchmark::State& state) {
+  ApplyFixture f(static_cast<std::size_t>(state.range(0)), state.range(1) != 0);
+  for (auto _ : state) {
+    f.rebuild_if_halved();
+    ModulationTree& tree = f.tree();
+    core::DeleteCommit c;
+    c.leaf = f.random_leaf();
+    c.deltas.resize(core::depth_of(c.leaf));
+    for (Md& d : c.deltas) d = f.delta();
+    const NodeId last = tree.last_leaf();
+    c.has_balance = true;
+    c.promoted_leaf_mod = f.fresh();
+    c.has_step2 = c.leaf != last && c.leaf != last - 1;
+    if (c.has_step2) {
+      c.t_new_link = f.fresh();
+      c.t_new_leaf_mod = f.fresh();
+    }
+    time_one(state, [&] { return tree.apply_delete(c); });
+  }
+}
+BENCHMARK(BM_TreeApplyDelete)
+    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}})
+    ->UseManualTime();
+
+void BM_TreeApplyDeleteMany(benchmark::State& state) {
+  ApplyFixture f(static_cast<std::size_t>(state.range(0)), state.range(1) != 0);
+  constexpr std::size_t kM = 16;
+  for (auto _ : state) {
+    f.rebuild_if_halved();
+    ModulationTree& tree = f.tree();
+    core::DeleteManyCommit c;
+    while (c.leaves.size() < kM) {
+      const NodeId d = f.random_leaf();
+      if (std::find(c.leaves.begin(), c.leaves.end(), d) == c.leaves.end()) {
+        c.leaves.push_back(d);
+      }
+    }
+    std::sort(c.leaves.begin(), c.leaves.end());
+    c.deltas.resize(core::merged_cut_nodes(tree.node_count(), c.leaves).size());
+    for (Md& d : c.deltas) d = f.delta();
+    for (NodeId h : core::bulk_geometry(tree.node_count(), c.leaves).holes) {
+      core::DeleteManyCommit::Reloc rl;
+      rl.new_leaf_mod = f.fresh();
+      rl.has_new_link = std::binary_search(c.leaves.begin(), c.leaves.end(), h);
+      if (rl.has_new_link) rl.new_link = f.fresh();
+      c.relocs.push_back(rl);
+    }
+    time_one(state, [&] { return tree.apply_delete_many(c); });
+  }
+}
+BENCHMARK(BM_TreeApplyDeleteMany)
+    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}})
+    ->UseManualTime();
 
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/bulk_geometry.h"
@@ -11,54 +10,28 @@ namespace fgad::core {
 
 namespace {
 
-// Key for per-node modulator consistency maps: a node may carry both a link
-// modulator (edge from its parent) and a leaf modulator; track them apart.
+// A node may carry both a link modulator (edge from its parent) and a leaf
+// modulator; the ledger tracks them apart.
 enum class Kind : std::uint8_t { kLink, kLeaf };
 
-struct Slot {
-  NodeId node;
-  Kind kind;
-  bool operator==(const Slot&) const = default;
-};
-
-struct SlotHash {
-  std::size_t operator()(const Slot& s) const noexcept {
-    return std::hash<std::uint64_t>()(s.node * 2 +
-                                      (s.kind == Kind::kLeaf ? 1 : 0));
-  }
-};
-
-using ModMap = std::unordered_map<Slot, Md, SlotHash>;
-
-// Records `value` for `slot`; fails if the same slot was already seen with a
-// conflicting value (a self-inconsistent server response).
-Status put(ModMap& map, NodeId node, Kind kind, const Md& value) {
-  auto [it, inserted] = map.emplace(Slot{node, kind}, value);
-  if (!inserted && it->second != value) {
-    return Status(Errc::kTamperDetected,
-                  "delete info: node reported with conflicting modulators");
-  }
-  return Status::ok();
-}
-
-// Flat modulator ledger for the bulk verifier. A DeleteManyInfo for m
-// targets mentions O(m log n) modulators, most of them several times
-// (overlapping root paths); per-mention hash-map churn dominated the whole
-// verification at m = 256. Instead, per-slot consistency is a direct-index
-// lookup (slots are bounded by 2 * node_count, and the slot table is
-// touched once per mention), and pairwise distinctness sorts the unique
-// values by a 64-bit prehash so full value compares happen only within
-// hash-equal runs.
+// One modulator ledger for both delete verifiers. A delete bundle mentions
+// O(m log n) modulators (m = 1 for the single delete), many of them several
+// times (overlapping root paths). Per-slot consistency goes through a small
+// open-addressed node map that grows with the nodes mentioned, never sized
+// by the tree; pairwise distinctness sorts the distinct values by a 64-bit
+// prehash so full value compares happen only within hash-equal runs.
 class ModLedger {
  public:
-  explicit ModLedger(std::uint64_t node_count)
-      : first_seen_(2 * node_count, nullptr) {}
+  // A single delete mentions about 3 * depth nodes, so it fits without
+  // growing for trees up to ~2^20 leaves; bulk bundles grow.
+  static constexpr std::size_t kInitialNodes = 128;
+  ModLedger() : nodes_(kInitialNodes) { unique_.reserve(kInitialNodes / 2); }
 
   // Records `value` for the slot; fails if the slot was already seen with
   // a conflicting value (a self-inconsistent server response).
   Status add(NodeId node, Kind kind, const Md& value) {
-    const std::uint64_t slot = node * 2 + (kind == Kind::kLeaf ? 1 : 0);
-    const Md*& seen = first_seen_[slot];
+    NodeMods& e = find_or_insert(node);
+    const Md*& seen = kind == Kind::kLeaf ? e.leaf : e.link;
     if (seen == nullptr) {
       seen = &value;
       unique_.push_back(&value);
@@ -71,8 +44,9 @@ class ModLedger {
     return Status::ok();  // consistent duplicate mention
   }
 
-  // Pairwise distinctness across every distinct slot's value.
-  Status check_distinct() const {
+  // Pairwise distinctness across every distinct slot's value; `what`
+  // is the error message.
+  Status check_distinct(const char* what) const {
     std::vector<std::pair<std::uint64_t, const Md*>> by_hash;
     by_hash.reserve(unique_.size());
     const Md::Hasher hash;
@@ -87,16 +61,61 @@ class ModLedger {
     for (std::size_t i = 1; i < by_hash.size(); ++i) {
       if (by_hash[i].first == by_hash[i - 1].first &&
           *by_hash[i].second == *by_hash[i - 1].second) {
-        return Status(Errc::kDuplicateModulator,
-                      "delete many info: modulators are not pairwise distinct");
+        return Status(Errc::kDuplicateModulator, what);
       }
     }
     return Status::ok();
   }
 
  private:
-  std::vector<const Md*> first_seen_;  // slot -> first recorded value
-  std::vector<const Md*> unique_;      // distinct slots, in mention order
+  struct NodeMods {
+    NodeId node = kNoNode;
+    const Md* link = nullptr;  // first recorded value per slot
+    const Md* leaf = nullptr;
+    bool empty() const { return link == nullptr && leaf == nullptr; }
+  };
+
+  // Fibonacci hashing spreads the structured ids of root paths.
+  std::size_t home(NodeId node) const {
+    return static_cast<std::size_t>((node * 0x9e3779b97f4a7c15ull) >> 32) &
+           (nodes_.size() - 1);
+  }
+
+  NodeMods& find_or_insert(NodeId node) {
+    if (2 * (used_ + 1) > nodes_.size()) {
+      grow();
+    }
+    const std::size_t mask = nodes_.size() - 1;
+    for (std::size_t i = home(node);; i = (i + 1) & mask) {
+      NodeMods& e = nodes_[i];
+      if (e.empty()) {
+        e.node = node;
+        ++used_;
+        return e;
+      }
+      if (e.node == node) {
+        return e;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<NodeMods> old(2 * nodes_.size());
+    old.swap(nodes_);
+    const std::size_t mask = nodes_.size() - 1;
+    for (const NodeMods& e : old) {
+      if (e.empty()) continue;
+      std::size_t i = home(e.node);
+      while (!nodes_[i].empty()) {
+        i = (i + 1) & mask;
+      }
+      nodes_[i] = e;
+    }
+  }
+
+  std::vector<NodeMods> nodes_;  // power-of-two capacity, load <= 1/2
+  std::size_t used_ = 0;         // occupied entries
+  std::vector<const Md*> unique_;  // distinct slots, in mention order
 };
 
 }  // namespace
@@ -128,18 +147,18 @@ Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
     return Status(Errc::kTamperDetected, "delete info: bad leaf modulator");
   }
 
-  ModMap map;
+  ModLedger ledger;
   for (std::size_t i = 0; i + 1 < info.path.nodes.size(); ++i) {
     if (info.path.links[i].size() != w) {
       return Status(Errc::kTamperDetected, "delete info: bad link width");
     }
-    if (auto st = put(map, info.path.nodes[i + 1], Kind::kLink,
-                      info.path.links[i]);
+    if (auto st = ledger.add(info.path.nodes[i + 1], Kind::kLink,
+                             info.path.links[i]);
         !st) {
       return st;
     }
   }
-  if (auto st = put(map, info.path.target(), Kind::kLeaf, info.leaf_mod);
+  if (auto st = ledger.add(info.path.target(), Kind::kLeaf, info.leaf_mod);
       !st) {
     return st;
   }
@@ -151,11 +170,11 @@ Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
     if (e.link.size() != w || (e.is_leaf && e.leaf_mod.size() != w)) {
       return Status(Errc::kTamperDetected, "delete info: bad cut modulator");
     }
-    if (auto st = put(map, e.node, Kind::kLink, e.link); !st) {
+    if (auto st = ledger.add(e.node, Kind::kLink, e.link); !st) {
       return st;
     }
     if (e.is_leaf) {
-      if (auto st = put(map, e.node, Kind::kLeaf, e.leaf_mod); !st) {
+      if (auto st = ledger.add(e.node, Kind::kLeaf, e.leaf_mod); !st) {
         return st;
       }
     }
@@ -175,21 +194,21 @@ Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
       if (info.t_path.links[i].size() != w) {
         return Status(Errc::kTamperDetected, "delete info: bad link width");
       }
-      if (auto st = put(map, info.t_path.nodes[i + 1], Kind::kLink,
-                        info.t_path.links[i]);
+      if (auto st = ledger.add(info.t_path.nodes[i + 1], Kind::kLink,
+                               info.t_path.links[i]);
           !st) {
         return st;
       }
     }
     const NodeId t = info.t_path.target();
     const NodeId s = sibling_of(t);
-    if (auto st = put(map, t, Kind::kLeaf, info.t_leaf_mod); !st) {
+    if (auto st = ledger.add(t, Kind::kLeaf, info.t_leaf_mod); !st) {
       return st;
     }
-    if (auto st = put(map, s, Kind::kLink, info.s_link); !st) {
+    if (auto st = ledger.add(s, Kind::kLink, info.s_link); !st) {
       return st;
     }
-    if (auto st = put(map, s, Kind::kLeaf, info.s_leaf_mod); !st) {
+    if (auto st = ledger.add(s, Kind::kLeaf, info.s_leaf_mod); !st) {
       return st;
     }
   }
@@ -197,15 +216,8 @@ Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
   // The paper's client check: all modulators in MT(k) must be pairwise
   // distinct; a server that clones a path to keep a deleted key derivable
   // necessarily produces a duplicate (Theorem 2, case ii).
-  std::unordered_set<Md, Md::Hasher> seen;
-  seen.reserve(map.size());
-  for (const auto& [slot, value] : map) {
-    if (!seen.insert(value).second) {
-      return Status(Errc::kDuplicateModulator,
-                    "delete info: modulators are not pairwise distinct");
-    }
-  }
-  return Status::ok();
+  return ledger.check_distinct(
+      "delete info: modulators are not pairwise distinct");
 }
 
 Result<ClientMath::DeletePlan> ClientMath::plan_delete(
@@ -235,15 +247,12 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   DeleteCommit& commit = plan.commit;
   commit.leaf = info.path.target();
   commit.deltas.reserve(l);
-  std::unordered_map<NodeId, Md> delta_of;  // cut node -> delta(c)
-  delta_of.reserve(l);
   for (std::size_t i = 0; i < l; ++i) {
     // M_c = <x_1 .. x_i-1, y_i>: the path prefix plus the cut link (Eq. 5).
     const Md& y = info.cut[i].link;
     Md delta = chain_.step(pre_old[i], y);
     delta ^= chain_.step(pre_new[i], y);
     commit.deltas.push_back(delta);
-    delta_of.emplace(info.cut[i].node, delta);
   }
 
   if (!info.has_balance) {
@@ -251,27 +260,28 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   }
   commit.has_balance = true;
 
-  // Post-adjustment value of the link modulator on edge (parent, child):
-  // Eq. (6) XORs delta(parent) into both child links of every internal cut
-  // node, so the edge changed iff its upper endpoint is in the cut.
-  const auto post_link = [&](NodeId parent, const Md& link) {
-    auto it = delta_of.find(parent);
-    if (it == delta_of.end()) {
-      return link;
+  // delta(c) for a cut node c, or null: the verified cut holds one node
+  // per depth, cut[i] at depth i + 1, so membership is one compare.
+  const auto delta_of = [&](NodeId c) -> const Md* {
+    const std::size_t dep = depth_of(c);
+    if (dep == 0 || dep > l || info.cut[dep - 1].node != c) {
+      return nullptr;
     }
-    Md v = link;
-    v ^= it->second;
-    return v;
+    return &commit.deltas[dep - 1];
   };
-  // Eq. (7): a leaf cut node's leaf modulator absorbs its own delta.
-  const auto post_leaf = [&](NodeId leaf, const Md& mod) {
-    auto it = delta_of.find(leaf);
-    if (it == delta_of.end()) {
+  // Post-adjustment value of a modulator: XOR in delta(v) if v is a cut
+  // node. For the link on edge (parent, child) pass v = parent: Eq. (6)
+  // XORs delta(parent) into both child links of every internal cut node.
+  // For a leaf modulator pass v = the leaf: Eq. (7), a cut leaf absorbs its
+  // own delta.
+  const auto post_mod = [&](NodeId v, const Md& mod) {
+    const Md* delta = delta_of(v);
+    if (delta == nullptr) {
       return mod;
     }
-    Md v = mod;
-    v ^= it->second;
-    return v;
+    Md out = mod;
+    out ^= *delta;
+    return out;
   };
 
   // Walk P(t) in the post-adjustment state under K'. By the cancellation
@@ -284,7 +294,7 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   tpre[0] = master_new;
   for (std::size_t i = 0; i < j; ++i) {
     tpre[i + 1] =
-        chain_.step(tpre[i], post_link(tp.nodes[i], tp.links[i]));
+        chain_.step(tpre[i], post_mod(tp.nodes[i], tp.links[i]));
   }
   const Md& prefix_p = tpre[j - 1];  // F(K', M_p), p = parent of t
   const Md& prefix_t = tpre[j];      // F(K', M_p + <x_{p,t}>)
@@ -294,9 +304,9 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   const NodeId s = sibling_of(t);
   const NodeId p = parent_of(t);
 
-  const Md t_leaf_post = post_leaf(t, info.t_leaf_mod);
-  const Md s_link_post = post_link(p, info.s_link);
-  const Md s_leaf_post = post_leaf(s, info.s_leaf_mod);
+  const Md t_leaf_post = post_mod(t, info.t_leaf_mod);
+  const Md s_link_post = post_mod(p, info.s_link);
+  const Md s_leaf_post = post_mod(s, info.s_leaf_mod);
 
   // Balancing Step 1 (Eq. 8): promote the surviving sibling of the last
   // pair into the parent slot, folding the removed link into its leaf
@@ -356,7 +366,7 @@ Status ClientMath::verify_delete_many_info(const DeleteManyInfo& info) const {
                   "delete many info: more targets than leaves");
   }
 
-  ModLedger ledger(nc);
+  ModLedger ledger;
   const auto put_path = [&](const PathView& path) -> Status {
     for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
       if (path.links[i].size() != w) {
@@ -426,10 +436,9 @@ Status ClientMath::verify_delete_many_info(const DeleteManyInfo& info) const {
   // Relocation geometry: holes that are not deleted slots need their own
   // paths; every mover needs path + leaf modulator, in ascending order.
   const BulkGeometry geo = bulk_geometry(nc, leaves);
-  const std::unordered_set<NodeId> dset(leaves.begin(), leaves.end());
   std::vector<NodeId> expect_holes;
   for (NodeId h : geo.holes) {
-    if (!dset.contains(h)) {
+    if (!std::binary_search(leaves.begin(), leaves.end(), h)) {
       expect_holes.push_back(h);
     }
   }
@@ -472,7 +481,8 @@ Status ClientMath::verify_delete_many_info(const DeleteManyInfo& info) const {
   // Per-slot consistency was enforced on every add; what remains is
   // pairwise distinctness across the whole bundle (Theorem 2's client
   // check, applied to the union of all supplied branches).
-  return ledger.check_distinct();
+  return ledger.check_distinct(
+      "delete many info: modulators are not pairwise distinct");
 }
 
 Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
@@ -652,7 +662,6 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
   // Either way the mover's data key is preserved:
   //   H(target_prefix ^ new_leaf_mod) = H(mover_prefix ^ mover_leaf_post).
   const BulkGeometry geo = bulk_geometry(info.node_count, leaves);
-  const std::unordered_set<NodeId> dset(leaves.begin(), leaves.end());
   commit.relocs.reserve(geo.holes.size());
   for (std::size_t i = 0; i < geo.holes.size(); ++i) {
     const NodeId h = geo.holes[i];
@@ -661,7 +670,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
     const Md mover_leaf_post = post_leaf(v, info.movers[i].leaf_mod);
     DeleteManyCommit::Reloc rl;
     Md target_prefix;
-    if (dset.contains(h)) {
+    if (std::binary_search(leaves.begin(), leaves.end(), h)) {
       rl.has_new_link = true;
       rl.new_link = rnd.random_md(width());
       target_prefix = chain_.step(post_prefix(parent_of(h)), rl.new_link);

@@ -1,8 +1,8 @@
 #include "core/tree.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/bulk_geometry.h"
 #include "obs/metrics.h"
@@ -66,28 +66,37 @@ void ModulationTree::free_leaf_rec(std::uint32_t ref) {
 
 void ModulationTree::dup_add(const Md& m) {
   if (cfg_.track_duplicates) {
-    values_.insert(m);
+    values_.add(m);
   }
 }
 
 void ModulationTree::dup_remove(const Md& m) {
   if (cfg_.track_duplicates) {
-    values_.erase(m);
+    values_.remove(m);
   }
 }
 
 bool ModulationTree::dup_would_collide(const Md& m) const {
-  return cfg_.track_duplicates && values_.count(m) != 0;
+  return cfg_.track_duplicates && values_.contains(m);
 }
 
 bool ModulationTree::contains_value(const Md& m) const {
-  return values_.count(m) != 0;
+  return values_.contains(m);
 }
 
 void ModulationTree::xor_mod(Md& target, const Md& delta) {
   dup_remove(target);
   target ^= delta;
   dup_add(target);
+}
+
+void ModulationTree::adjust_cut_node(NodeId c, const Md& delta) {
+  if (is_leaf(c)) {
+    xor_mod(leaf_rec(c).leaf_mod, delta);
+  } else {
+    xor_mod(link_[left_child(c)], delta);
+    xor_mod(link_[right_child(c)], delta);
+  }
 }
 
 void ModulationTree::build(
@@ -105,6 +114,9 @@ void ModulationTree::build(
   link_.resize(nodes);
   leaf_ref_.assign(nodes, kNoLeafRef);
   leaves_.reserve(n_leaves);
+  if (cfg_.track_duplicates) {
+    values_.reserve(nodes - 1 + n_leaves);  // every link and leaf modulator
+  }
   for (NodeId v = 1; v < nodes; ++v) {
     link_[v] = link_gen(v);
     dup_add(link_[v]);
@@ -208,10 +220,9 @@ DeleteManyInfo ModulationTree::delete_many_info_for(
   info.node_count = node_count();
   info.cut = cut_for_many(leaves);
   const BulkGeometry geo = bulk_geometry(node_count(), leaves);
-  const std::unordered_set<NodeId> dset(leaves.begin(), leaves.end());
   std::vector<NodeId> survivor_holes;
   for (NodeId h : geo.holes) {
-    if (!dset.contains(h)) {
+    if (!std::binary_search(leaves.begin(), leaves.end(), h)) {
       survivor_holes.push_back(h);
     }
   }
@@ -313,17 +324,15 @@ Result<ModulationTree::DeleteOutcome> ModulationTree::apply_delete(
     // Delta-adjusted values are one-way-function outputs; a collision there
     // has probability ~2^-(8*width) and would be caught by the client's
     // MT(k) distinctness check on the next operation touching it.
-    std::vector<const Md*> incoming{&commit.promoted_leaf_mod};
-    if (expect_step2) {
-      incoming.push_back(&commit.t_new_link);
-      incoming.push_back(&commit.t_new_leaf_mod);
-    }
-    for (std::size_t i = 0; i < incoming.size(); ++i) {
+    const std::array<const Md*, 3> incoming{
+        &commit.promoted_leaf_mod, &commit.t_new_link, &commit.t_new_leaf_mod};
+    const std::size_t n_incoming = expect_step2 ? 3 : 1;
+    for (std::size_t i = 0; i < n_incoming; ++i) {
       if (dup_would_collide(*incoming[i])) {
         return Error(Errc::kDuplicateModulator,
                      "apply_delete: commit modulator duplicates tree value");
       }
-      for (std::size_t j = i + 1; j < incoming.size(); ++j) {
+      for (std::size_t j = i + 1; j < n_incoming; ++j) {
         if (*incoming[i] == *incoming[j]) {
           return Error(Errc::kDuplicateModulator,
                        "apply_delete: commit modulators not distinct");
@@ -332,22 +341,13 @@ Result<ModulationTree::DeleteOutcome> ModulationTree::apply_delete(
     }
   }
 
-  // Step A: modulator adjustment on the cut (Eqs. 6 and 7).
+  // Step A: modulator adjustment on the cut (Eqs. 6 and 7). deltas[i]
+  // belongs to the cut node at depth i + 1, the sibling of d's ancestor
+  // there; walk the path bottom-up.
   {
-    std::vector<NodeId> below_root;
+    std::size_t i = depth;
     for (NodeId cur = d; !is_root(cur); cur = parent_of(cur)) {
-      below_root.push_back(cur);
-    }
-    std::reverse(below_root.begin(), below_root.end());
-    for (std::size_t i = 0; i < below_root.size(); ++i) {
-      const NodeId c = sibling_of(below_root[i]);
-      const Md& delta = commit.deltas[i];
-      if (is_leaf(c)) {
-        xor_mod(leaf_rec(c).leaf_mod, delta);
-      } else {
-        xor_mod(link_[left_child(c)], delta);
-        xor_mod(link_[right_child(c)], delta);
-      }
+      adjust_cut_node(sibling_of(cur), commit.deltas[--i]);
     }
   }
 
@@ -451,10 +451,10 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
     return Error(Errc::kInvalidArgument,
                  "apply_delete_many: wrong relocation count");
   }
-  const std::unordered_set<NodeId> dset(dl.begin(), dl.end());
   for (std::size_t i = 0; i < commit.relocs.size(); ++i) {
     const DeleteManyCommit::Reloc& rl = commit.relocs[i];
-    if (rl.has_new_link != dset.contains(geo.holes[i])) {
+    if (rl.has_new_link !=
+        std::binary_search(dl.begin(), dl.end(), geo.holes[i])) {
       return Error(Errc::kInvalidArgument,
                    "apply_delete_many: relocation link flag mismatch");
     }
@@ -476,31 +476,27 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
         incoming.push_back(&rl.new_link);
       }
     }
-    std::unordered_set<Md, Md::Hasher> fresh;
-    fresh.reserve(incoming.size());
     for (const Md* v : incoming) {
       if (dup_would_collide(*v)) {
         return Error(Errc::kDuplicateModulator,
                      "apply_delete_many: commit modulator duplicates tree value");
       }
-      if (!fresh.insert(*v).second) {
-        return Error(Errc::kDuplicateModulator,
-                     "apply_delete_many: commit modulators not distinct");
-      }
+    }
+    std::sort(incoming.begin(), incoming.end(),
+              [](const Md* a, const Md* b) { return *a < *b; });
+    const auto dup = std::adjacent_find(
+        incoming.begin(), incoming.end(),
+        [](const Md* a, const Md* b) { return *a == *b; });
+    if (dup != incoming.end()) {
+      return Error(Errc::kDuplicateModulator,
+                   "apply_delete_many: commit modulators not distinct");
     }
   }
 
   // All checks passed; mutate. Step A: one delta per merged-cut node
   // (Eqs. 6-7 applied to the cut frontier).
   for (std::size_t i = 0; i < cut.size(); ++i) {
-    const NodeId c = cut[i];
-    const Md& delta = commit.deltas[i];
-    if (is_leaf(c)) {
-      xor_mod(leaf_rec(c).leaf_mod, delta);
-    } else {
-      xor_mod(link_[left_child(c)], delta);
-      xor_mod(link_[right_child(c)], delta);
-    }
+    adjust_cut_node(cut[i], commit.deltas[i]);
   }
 
   // Step B: drop every deleted leaf's record.
@@ -513,12 +509,6 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
     leaf_ref_[d] = kNoLeafRef;
   }
   deleted.inc(m);
-
-  if (geo.new_node_count == 0) {
-    link_.clear();
-    leaf_ref_.clear();
-    return outcome;
-  }
 
   // Step C: relocate tail leaves into the holes (generalized IV-D).
   for (std::size_t i = 0; i < geo.holes.size(); ++i) {
@@ -541,8 +531,9 @@ Result<ModulationTree::DeleteManyOutcome> ModulationTree::apply_delete_many(
   }
 
   // Step D: chop the tail (chopped slots include formerly internal nodes
-  // when the tree shrank below the old leaf line).
-  for (NodeId v = geo.new_node_count; v < nodes; ++v) {
+  // when the tree shrank below the old leaf line, and every node when all
+  // leaves died; slot 0 carries no link).
+  for (NodeId v = std::max<NodeId>(geo.new_node_count, 1); v < nodes; ++v) {
     dup_remove(link_[v]);
   }
   link_.resize(geo.new_node_count);
@@ -717,17 +708,6 @@ std::size_t ModulationTree::serialized_size() const {
     return 1 + 8;
   }
   return 1 + 8 + (nodes - 1) * width_ + leaf_count() * (width_ + 8);
-}
-
-std::size_t ModulationTree::memory_bytes() const {
-  std::size_t total = link_.capacity() * sizeof(Md) +
-                      leaf_ref_.capacity() * sizeof(std::uint32_t) +
-                      leaves_.capacity() * sizeof(LeafRec) +
-                      free_leaf_refs_.capacity() * sizeof(std::uint32_t);
-  if (cfg_.track_duplicates) {
-    total += values_.size() * (sizeof(Md) + 2 * sizeof(void*));
-  }
-  return total;
 }
 
 }  // namespace fgad::core

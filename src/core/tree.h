@@ -13,21 +13,22 @@
 // Both return the leaf moves the cloud layer needs to keep its
 // item -> leaf back-pointers consistent.
 //
-// Optional duplicate tracking maintains a hash set of every modulator value
-// in the tree so the server can implement the paper's "inform the client to
-// re-perform the operation with a different modulator" rule. It costs memory
-// proportional to the tree, so huge benchmark instances may disable it; the
-// *client-side* distinctness check on MT(k) — the one Theorem 2's proof
-// relies on — is always active regardless.
+// Optional duplicate tracking keeps a counted index of every modulator value
+// in the tree (DupIndex: one count per holding node) so the server can
+// implement the paper's "inform the client to re-perform the operation with
+// a different modulator" rule. It costs memory proportional to the tree, so
+// huge benchmark instances may disable it; the *client-side* distinctness
+// check on MT(k) — the one Theorem 2's proof relies on — is always active
+// regardless.
 #pragma once
 
 #include <functional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "core/dup_index.h"
 #include "core/node_id.h"
 #include "core/views.h"
 #include "crypto/digest.h"
@@ -186,9 +187,6 @@ class ModulationTree {
   /// communication cost of Table III).
   std::size_t serialized_size() const;
 
-  /// Estimated resident memory (diagnostics).
-  std::size_t memory_bytes() const;
-
  private:
   struct LeafRec {
     crypto::Md leaf_mod;
@@ -202,13 +200,16 @@ class ModulationTree {
   std::uint32_t alloc_leaf_rec(crypto::Md mod, std::uint64_t item_slot);
   void free_leaf_rec(std::uint32_t ref);
 
-  // Duplicate-set maintenance (no-ops when tracking is off).
+  // Duplicate-index maintenance (no-ops when tracking is off).
   void dup_add(const crypto::Md& m);
   void dup_remove(const crypto::Md& m);
   bool dup_would_collide(const crypto::Md& m) const;
 
   // XORs delta into a tracked modulator in place.
   void xor_mod(crypto::Md& target, const crypto::Md& delta);
+  // Eqs. 6-7 for one cut node c: delta goes into c's leaf modulator if c
+  // is a leaf, else into both of its children's links.
+  void adjust_cut_node(NodeId c, const crypto::Md& delta);
 
   Config cfg_;
   std::size_t width_;                    // modulator width in bytes
@@ -216,7 +217,7 @@ class ModulationTree {
   std::vector<std::uint32_t> leaf_ref_;  // node -> leaves_ index or kNoLeafRef
   std::vector<LeafRec> leaves_;
   std::vector<std::uint32_t> free_leaf_refs_;
-  std::unordered_set<crypto::Md, crypto::Md::Hasher> values_;
+  DupIndex values_;  // empty unless cfg_.track_duplicates
 };
 
 }  // namespace fgad::core

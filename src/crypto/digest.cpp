@@ -58,15 +58,26 @@ void Md::cleanse() noexcept {
   OPENSSL_cleanse(b_.data(), b_.size());
 }
 
+namespace {
+
+// 64x64 -> 128-bit multiply folded to 64 bits (the wyhash "mum" mixer).
+std::uint64_t mum(std::uint64_t a, std::uint64_t b) noexcept {
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+}
+
+}  // namespace
+
 std::size_t Md::Hasher::operator()(const Md& m) const noexcept {
-  // FNV-1a over the whole (zero-padded) buffer plus the size byte. The
-  // buffer past size_ is guaranteed zero, so equal values hash equal.
-  std::size_t h = 1469598103934665603ull;
-  for (std::uint8_t b : m.b_) {
-    h = (h ^ b) * 1099511628211ull;
-  }
-  h = (h ^ m.size_) * 1099511628211ull;
-  return h;
+  // The buffer past size_ is guaranteed zero, so equal values hash equal.
+  std::uint64_t w[4];
+  static_assert(sizeof(w) == kCapacity);
+  std::memcpy(w, m.b_.data(), sizeof(w));
+  const std::uint64_t h = mum(w[0] ^ seed ^ 0xa0761d6478bd642full,
+                              w[1] ^ 0xe7037ed1a0b428dbull) ^
+                          mum(w[2] ^ seed ^ 0x8ebc6af09c88c6e3ull,
+                              w[3] ^ 0x589965cc75374cc3ull);
+  return mum(h ^ seed, 0x1d8e4e27c47d124full ^ m.size_);
 }
 
 }  // namespace fgad::crypto

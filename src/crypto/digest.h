@@ -78,8 +78,12 @@ class Md {
 
   std::string hex() const { return to_hex(bytes()); }
 
-  /// Hash functor for unordered containers.
+  /// Hash functor over the four 8-byte words of the (zero-padded) buffer
+  /// plus the size. `seed` keys it: containers that hold peer-chosen
+  /// values use a secret per-process seed so probe sequences cannot be
+  /// predicted; 0 gives a fixed, unkeyed hash.
   struct Hasher {
+    std::uint64_t seed = 0;
     std::size_t operator()(const Md& m) const noexcept;
   };
 

@@ -134,6 +134,34 @@ TEST(DeleteMany, OverlappingCutsShareAncestors) {
   }
 }
 
+// The bulk verifier's ledger: a node mentioned twice must carry the same
+// value each time, and distinct (node, kind) slots must carry distinct
+// values, a node's own link and leaf modulator included.
+TEST(DeleteMany, VerifierRejectsConflictingAndClonedMentions) {
+  Harness h(crypto::HashAlg::kSha1, 9);
+  h.outsource(16);
+  // Leaves 15 and 18 share the ancestors 1 and 3.
+  const std::vector<NodeId> leaves{15, 18};
+  const core::DeleteManyInfo info =
+      h.store().tree().delete_many_info_for(leaves);
+  ASSERT_TRUE(h.math().verify_delete_many_info(info));
+
+  core::DeleteManyInfo conflicting = info;
+  conflicting.targets[1].path.links[0] = h.rnd().random_md(20);
+  EXPECT_EQ(h.math().verify_delete_many_info(conflicting).code(),
+            Errc::kTamperDetected);
+
+  core::DeleteManyInfo cloned = info;
+  cloned.targets[1].leaf_mod = cloned.targets[0].leaf_mod;
+  EXPECT_EQ(h.math().verify_delete_many_info(cloned).code(),
+            Errc::kDuplicateModulator);
+
+  core::DeleteManyInfo same_node = info;
+  same_node.targets[0].leaf_mod = same_node.targets[0].path.links.back();
+  EXPECT_EQ(h.math().verify_delete_many_info(same_node).code(),
+            Errc::kDuplicateModulator);
+}
+
 TEST(DeleteMany, DeleteAllLeaves) {
   Harness h(crypto::HashAlg::kSha1, 9);
   h.outsource(8);

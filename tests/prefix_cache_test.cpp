@@ -7,8 +7,6 @@
 // values, so invalidate() must restore correctness.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-
 #include "core/prefix_cache.h"
 #include "support/harness.h"
 

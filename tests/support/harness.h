@@ -197,6 +197,18 @@ class Harness {
       ASSERT_EQ(opened.value().plaintext, exp.payload);
       ASSERT_EQ(opened.value().r, id);
     }
+    // Duplicate index: every live modulator must be in it.
+    if (track_) {
+      for (NodeId v = 1; v < t.node_count(); ++v) {
+        ASSERT_TRUE(t.contains_value(t.link_mod(v)))
+            << "link modulator of node " << v << " not indexed";
+      }
+      const std::size_t leaves = t.leaf_count();
+      for (NodeId v = leaves == 0 ? 0 : leaves - 1; v < t.node_count(); ++v) {
+        ASSERT_TRUE(t.contains_value(t.leaf_mod(v)))
+            << "leaf modulator of node " << v << " not indexed";
+      }
+    }
     // Integrity root: the incrementally repaired hash tree must equal a
     // from-scratch rebuild over the stored ciphertexts (as cloud::fsck).
     if (store_.integrity_enabled()) {

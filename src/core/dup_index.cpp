@@ -1,6 +1,5 @@
 #include "core/dup_index.h"
 
-#include <random>
 #include <utility>
 
 namespace fgad::core {
@@ -11,26 +10,22 @@ namespace {
 
 constexpr std::size_t kMinCapacity = 16;
 
-std::uint64_t process_seed() {
-  static const std::uint64_t seed = [] {
-    std::random_device rd;
-    return (std::uint64_t{rd()} << 32) ^ rd();
-  }();
-  return seed;
+// Maximum load 3/4. The 8-byte probe slots keep the longer runs cheap, and
+// 41 bytes per slot make the load factor the index's memory cost.
+bool over_load(std::size_t values, std::size_t capacity) {
+  return 4 * values > 3 * capacity;
 }
 
-// Smallest power-of-two capacity that keeps `values` at load <= 1/2.
+// Smallest power-of-two capacity that keeps `values` at load <= 3/4.
 std::size_t capacity_for(std::size_t values) {
   std::size_t cap = kMinCapacity;
-  while (cap < 2 * values) {
+  while (over_load(values, cap)) {
     cap <<= 1;
   }
   return cap;
 }
 
 }  // namespace
-
-DupIndex::DupIndex() : hash_{process_seed()} {}
 
 void DupIndex::clear() {
   meta_ = {};
@@ -61,7 +56,7 @@ bool DupIndex::contains(const Md& m) const {
 }
 
 void DupIndex::add(const Md& m) {
-  if (2 * (size_ + 1) > meta_.size()) {
+  if (over_load(size_ + 1, meta_.size())) {
     rehash(capacity_for(size_ + 1));
   }
   const std::uint64_t h = hash_(m);

@@ -2,10 +2,10 @@
 //
 // A multiset of modulator values: every tree node that holds a value
 // counts once, so a value held by two nodes stays present until both drop
-// it. Flat open addressing with linear probing, load <= 1/2 and
+// it. Flat open addressing with linear probing, load <= 3/4 and
 // backward-shift deletion (no tombstones). Probe metadata (32-bit hash tag
 // + count) lives in its own array of 8-byte slots; the 33-byte values are
-// read only on a tag match. The hash is keyed by a per-process random seed:
+// read only on a tag match. Md::Hasher is keyed by per-process secrets:
 // clients choose link modulators, so an unkeyed hash would let one client
 // build long probe chains.
 #pragma once
@@ -20,8 +20,6 @@ namespace fgad::core {
 
 class DupIndex {
  public:
-  DupIndex();
-
   /// Drops every value and releases the storage.
   void clear();
   /// Makes room for `values` distinct values without rehashing.

@@ -3,6 +3,7 @@
 #include <openssl/crypto.h>
 
 #include <cstring>
+#include <random>
 #include <stdexcept>
 
 namespace fgad::crypto {
@@ -66,18 +67,36 @@ std::uint64_t mum(std::uint64_t a, std::uint64_t b) noexcept {
   return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
 }
 
+// Independent secret words, one per mum() operand, drawn once per process.
+struct HashKey {
+  std::uint64_t s[6];
+};
+
+const HashKey& hash_key() {
+  static const HashKey key = [] {
+    std::random_device rd;
+    HashKey k{};
+    for (std::uint64_t& w : k.s) {
+      w = (std::uint64_t{rd()} << 32) ^ rd();
+    }
+    return k;
+  }();
+  return key;
+}
+
 }  // namespace
 
 std::size_t Md::Hasher::operator()(const Md& m) const noexcept {
   // The buffer past size_ is guaranteed zero, so equal values hash equal.
+  // Every operand carries a secret word, so no chosen input can zero one
+  // and make the product independent of the rest of the value.
   std::uint64_t w[4];
   static_assert(sizeof(w) == kCapacity);
   std::memcpy(w, m.b_.data(), sizeof(w));
-  const std::uint64_t h = mum(w[0] ^ seed ^ 0xa0761d6478bd642full,
-                              w[1] ^ 0xe7037ed1a0b428dbull) ^
-                          mum(w[2] ^ seed ^ 0x8ebc6af09c88c6e3ull,
-                              w[3] ^ 0x589965cc75374cc3ull);
-  return mum(h ^ seed, 0x1d8e4e27c47d124full ^ m.size_);
+  const std::uint64_t* s = hash_key().s;
+  const std::uint64_t h =
+      mum(w[0] ^ s[0], w[1] ^ s[1]) ^ mum(w[2] ^ s[2], w[3] ^ s[3]);
+  return mum(h ^ s[4], s[5] ^ m.size_);
 }
 
 }  // namespace fgad::crypto

@@ -79,11 +79,11 @@ class Md {
   std::string hex() const { return to_hex(bytes()); }
 
   /// Hash functor over the four 8-byte words of the (zero-padded) buffer
-  /// plus the size. `seed` keys it: containers that hold peer-chosen
-  /// values use a secret per-process seed so probe sequences cannot be
-  /// predicted; 0 gives a fixed, unkeyed hash.
+  /// plus the size, keyed by secret per-process random words. Peers choose
+  /// modulators, so an unkeyed hash would let them pick values whose
+  /// probe sequences collide; the keys make hashes differ between
+  /// processes, so never persist them or order output by them.
   struct Hasher {
-    std::uint64_t seed = 0;
     std::size_t operator()(const Md& m) const noexcept;
   };
 

@@ -2,6 +2,9 @@
 // secure buffers, random sources.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+
 #include "crypto/aes.h"
 #include "crypto/digest.h"
 #include "crypto/hasher.h"
@@ -71,6 +74,29 @@ TEST(Md, HasherDistinguishes) {
   const Md b = rnd.random_md(20);
   EXPECT_NE(h(a), h(b));  // overwhelmingly likely
   EXPECT_EQ(h(a), h(a));
+}
+
+// An unkeyed multiply mixer is zeroed by a chosen word: fixing word 1 (and
+// word 3 at SHA-256 width) to the constant an unkeyed hash XORs into it
+// made every value with the same word 2 hash alike, whatever word 0 held.
+// Keyed operands must keep such values apart.
+TEST(Md, HasherResistsChosenOperandWords) {
+  for (const std::size_t width : {std::size_t{20}, std::size_t{32}}) {
+    Md::Hasher h;
+    std::set<std::size_t> hashes;
+    std::set<std::size_t> homes;  // slots of a 64-slot table
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      Md m = Md::zero(width);
+      const std::uint64_t w[4] = {i, 0xe7037ed1a0b428dbull,
+                                  0x0123456789abcdefull,
+                                  0x589965cc75374cc3ull};
+      std::memcpy(m.data(), w, width);
+      hashes.insert(h(m));
+      homes.insert(h(m) & 63);
+    }
+    EXPECT_EQ(hashes.size(), 64u) << "width " << width;
+    EXPECT_GE(homes.size(), 16u) << "width " << width;
+  }
 }
 
 TEST(Md, CleanseZeroizes) {

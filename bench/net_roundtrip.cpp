@@ -4,11 +4,16 @@
 // the scheme: echo round-trips across payload sizes (framing + syscall
 // cost), a real protocol operation (access) over TCP, and the overhead the
 // retry layer adds on the happy path (it should be ~zero — one mutex and a
-// predicate check per call). Emits BENCH_net_roundtrip.json.
+// predicate check per call). For each echo size the meta block also holds
+// the server reactor's event-loop passes per round trip
+// (fgad_net_reactor_loops), `reactor_loops_per_rpc_<size>b`: a request whose
+// header and payload arrive in separate segments costs an extra pass.
+// Emits BENCH_net_roundtrip.json.
 #include <memory>
 
 #include "net/retry.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "proto/messages.h"
 #include "support/bench_util.h"
 
@@ -49,22 +54,31 @@ int main() {
   }
   const std::uint16_t echo_port = echo.value()->port();
 
-  std::printf("%-22s %14s %14s\n", "case", "latency us", "MB/s");
-  for (const std::size_t size : {64ul, 4096ul, 65536ul, 1048576ul}) {
+  fgad::obs::Counter& loops =
+      fgad::obs::Registry::instance().counter("fgad_net_reactor_loops");
+  std::printf("%-22s %14s %14s %14s\n", "case", "latency us", "MB/s",
+              "loops/rpc");
+  for (const std::size_t size : {64ul, 700ul, 4096ul, 65536ul, 1048576ul}) {
     auto ch = fgad::net::TcpChannel::connect("127.0.0.1", echo_port);
     if (!ch) return 1;
     echo_roundtrip_us(*ch.value(), size, 5);  // warm-up
     LatencyRecorder lat;
+    const std::uint64_t loops0 = loops.value();
     const double us = echo_roundtrip_us(*ch.value(), size, reps, &lat);
+    const double loops_per_rpc = static_cast<double>(loops.value() - loops0) /
+                                 static_cast<double>(reps);
     // Payload crosses the wire twice per round-trip.
     const double mbps = 2.0 * static_cast<double>(size) / us;
-    std::printf("echo %-17s %14.2f %14.1f\n", human_bytes(
-        static_cast<double>(size)).c_str(), us, mbps);
+    std::printf("echo %-17s %14.2f %14.1f %14.2f\n",
+                human_bytes(static_cast<double>(size)).c_str(), us, mbps,
+                loops_per_rpc);
     auto& row = json.row();
     row.set("case", "echo")
         .set("payload_bytes", size)
         .set("latency_us", us)
         .set("throughput_mbps", mbps);
+    json.meta().set("reactor_loops_per_rpc_" + std::to_string(size) + "b",
+                    loops_per_rpc);
     lat.emit(row, "echo");
   }
 

@@ -36,12 +36,17 @@ class ModulatedHashChain {
   HashAlg alg() const noexcept { return hasher_.alg(); }
   std::size_t width() const noexcept { return hasher_.size(); }
 
-  /// One chain step: H(prev ^ x).
+  /// One chain step: H(prev ^ x). Not counted here: callers that step
+  /// directly add their steps to fgad_chain_steps_total through
+  /// count_steps(), once per operation, to keep the hot loop bare.
   Md step(const Md& prev, const Md& x) const {
     Md buf = prev;
     buf ^= x;
     return hasher_.hash(buf.bytes());
   }
+
+  /// Adds `n` steps to fgad_chain_steps_total.
+  static void count_steps(std::uint64_t n);
 
   /// F(K, mods).
   Md eval(const Md& master, std::span<const Md> mods) const;

@@ -118,6 +118,32 @@ class ModLedger {
   std::vector<const Md*> unique_;  // distinct slots, in mention order
 };
 
+// Counts the direct chain steps of one public ClientMath call and adds
+// them to fgad_chain_steps_total in one increment when the call returns
+// (eval() and prefixes() count their own).
+class StepTally {
+ public:
+  explicit StepTally(const ModulatedHashChain& chain) : chain_(chain) {}
+  StepTally(const StepTally&) = delete;
+  StepTally& operator=(const StepTally&) = delete;
+  ~StepTally() {
+    if (steps_ > 0) {
+      ModulatedHashChain::count_steps(steps_);
+    }
+  }
+
+  Md step(const Md& prev, const Md& x) {
+    ++steps_;
+    return chain_.step(prev, x);
+  }
+  // Steps taken on other chains (the worker threads' own hash contexts).
+  void add(std::uint64_t n) { steps_ += n; }
+
+ private:
+  const ModulatedHashChain& chain_;
+  std::uint64_t steps_ = 0;
+};
+
 }  // namespace
 
 ModList ClientMath::mods_of(const PathView& path, const Md& leaf_mod) {
@@ -128,11 +154,12 @@ ModList ClientMath::mods_of(const PathView& path, const Md& leaf_mod) {
 
 Md ClientMath::derive_key(const Md& master, const PathView& path,
                           const Md& leaf_mod) const {
+  StepTally tally(chain_);
   Md cur = master;
   for (const Md& x : path.links) {
-    cur = chain_.step(cur, x);
+    cur = tally.step(cur, x);
   }
-  return chain_.step(cur, leaf_mod);
+  return tally.step(cur, leaf_mod);
 }
 
 Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
@@ -223,6 +250,7 @@ Status ClientMath::verify_delete_info(const DeleteInfo& info) const {
 Result<ClientMath::DeletePlan> ClientMath::plan_delete(
     const DeleteInfo& info, const Md& master_old, const Md& master_new,
     crypto::RandomSource& rnd) const {
+  StepTally tally(chain_);
   if (auto st = verify_delete_info(info); !st) {
     return Error(st.error());
   }
@@ -235,11 +263,11 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   const std::vector<Md> pre_new = chain_.prefixes(master_new, info.path.links);
 
   DeletePlan plan;
-  plan.old_key = chain_.step(pre_old[l], info.leaf_mod);
+  plan.old_key = tally.step(pre_old[l], info.leaf_mod);
 
   // The paper's footnote to Theorem 2: if by (astronomically unlikely)
   // coincidence F(K', M_k) == F(K, M_k), the client must pick another K'.
-  if (chain_.step(pre_new[l], info.leaf_mod) == plan.old_key) {
+  if (tally.step(pre_new[l], info.leaf_mod) == plan.old_key) {
     return Error(Errc::kInvalidArgument,
                  "plan_delete: new master key collides; pick another");
   }
@@ -250,8 +278,8 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   for (std::size_t i = 0; i < l; ++i) {
     // M_c = <x_1 .. x_i-1, y_i>: the path prefix plus the cut link (Eq. 5).
     const Md& y = info.cut[i].link;
-    Md delta = chain_.step(pre_old[i], y);
-    delta ^= chain_.step(pre_new[i], y);
+    Md delta = tally.step(pre_old[i], y);
+    delta ^= tally.step(pre_new[i], y);
     commit.deltas.push_back(delta);
   }
 
@@ -294,7 +322,7 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   tpre[0] = master_new;
   for (std::size_t i = 0; i < j; ++i) {
     tpre[i + 1] =
-        chain_.step(tpre[i], post_mod(tp.nodes[i], tp.links[i]));
+        tally.step(tpre[i], post_mod(tp.nodes[i], tp.links[i]));
   }
   const Md& prefix_p = tpre[j - 1];  // F(K', M_p), p = parent of t
   const Md& prefix_t = tpre[j];      // F(K', M_p + <x_{p,t}>)
@@ -314,7 +342,7 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   if (k == t) {
     // The deleted leaf is t itself; s survives.
     Md promoted = prefix_p;
-    promoted ^= chain_.step(prefix_p, s_link_post);
+    promoted ^= tally.step(prefix_p, s_link_post);
     promoted ^= s_leaf_post;
     commit.promoted_leaf_mod = promoted;
     return plan;
@@ -332,7 +360,7 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   // with a fresh link modulator (Step 2, Eq. 9).
   {
     Md promoted = prefix_p;
-    promoted ^= chain_.step(prefix_p, s_link_post);
+    promoted ^= tally.step(prefix_p, s_link_post);
     promoted ^= s_leaf_post;
     commit.promoted_leaf_mod = promoted;
   }
@@ -343,7 +371,7 @@ Result<ClientMath::DeletePlan> ClientMath::plan_delete(
   // delta-adjusted (cut nodes hang off the path), so no post-transform is
   // needed there.
   commit.t_new_link = rnd.random_md(width());
-  const Md b_prime = chain_.step(pre_new[l - 1], commit.t_new_link);
+  const Md b_prime = tally.step(pre_new[l - 1], commit.t_new_link);
   Md t_new_leaf = b_prime;
   t_new_leaf ^= prefix_t;
   t_new_leaf ^= t_leaf_post;
@@ -488,6 +516,7 @@ Status ClientMath::verify_delete_many_info(const DeleteManyInfo& info) const {
 Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
     const DeleteManyInfo& info, const Md& master_old, const Md& master_new,
     crypto::RandomSource& rnd, ThreadPool* pool) const {
+  StepTally tally(chain_);
   if (auto st = verify_delete_many_info(info); !st) {
     return Error(st.error());
   }
@@ -545,7 +574,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
       cur = parent_of(cur);
     }
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-      const Md step = chain_.step(memo.at(parent_of(*it)), link_of.at(*it));
+      const Md step = tally.step(memo.at(parent_of(*it)), link_of.at(*it));
       memo.emplace(*it, step);
     }
     return memo.at(v);
@@ -560,8 +589,8 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
   // to every target): one shared K' must miss ALL m targets.
   for (const DeleteManyInfo::Target& t : info.targets) {
     const NodeId d = t.path.target();
-    const Md old_key = chain_.step(plain_prefix(pre_old_of, d), t.leaf_mod);
-    if (chain_.step(plain_prefix(pre_new_of, d), t.leaf_mod) == old_key) {
+    const Md old_key = tally.step(plain_prefix(pre_old_of, d), t.leaf_mod);
+    if (tally.step(plain_prefix(pre_new_of, d), t.leaf_mod) == old_key) {
       return Error(Errc::kInvalidArgument,
                    "plan_delete_many: new master key collides; pick another");
     }
@@ -608,6 +637,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
   } else {
     delta_range(0, info.cut.size(), chain_);
   }
+  tally.add(2 * info.cut.size());
   std::unordered_map<NodeId, Md> delta_of;
   delta_of.reserve(info.cut.size());
   for (std::size_t i = 0; i < info.cut.size(); ++i) {
@@ -650,7 +680,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
     for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
       const NodeId p = parent_of(*it);
       const Md step =
-          chain_.step(post_new_of.at(p), post_link(p, link_of.at(*it)));
+          tally.step(post_new_of.at(p), post_link(p, link_of.at(*it)));
       post_new_of.emplace(*it, step);
     }
     return post_new_of.at(v);
@@ -673,7 +703,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
     if (std::binary_search(leaves.begin(), leaves.end(), h)) {
       rl.has_new_link = true;
       rl.new_link = rnd.random_md(width());
-      target_prefix = chain_.step(post_prefix(parent_of(h)), rl.new_link);
+      target_prefix = tally.step(post_prefix(parent_of(h)), rl.new_link);
     } else {
       target_prefix = post_prefix(h);
     }
@@ -689,6 +719,7 @@ Result<ClientMath::DeleteManyPlan> ClientMath::plan_delete_many(
 Result<ClientMath::InsertPlan> ClientMath::plan_insert(
     const InsertInfo& info, const Md& master,
     crypto::RandomSource& rnd) const {
+  StepTally tally(chain_);
   const std::size_t w = width();
   if (master.size() != w) {
     return Error(Errc::kInvalidArgument, "plan_insert: bad master key width");
@@ -697,7 +728,7 @@ Result<ClientMath::InsertPlan> ClientMath::plan_insert(
   if (info.empty_tree) {
     plan.commit.empty_tree = true;
     plan.commit.root_leaf_mod = rnd.random_md(w);
-    plan.item_key = chain_.step(master, plan.commit.root_leaf_mod);
+    plan.item_key = tally.step(master, plan.commit.root_leaf_mod);
     return plan;
   }
   if (!info.q_path.well_formed()) {
@@ -723,18 +754,19 @@ Result<ClientMath::InsertPlan> ClientMath::plan_insert(
   // Keep q's data key unchanged after it moves under the new internal node:
   // x_t'' = F(K, M^-) ^ F(K, M^- + <x_left>) ^ x_t  (Section IV-E).
   Md moved = a;
-  moved ^= chain_.step(a, c.left_link);
+  moved ^= tally.step(a, c.left_link);
   moved ^= info.q_leaf_mod;
   c.moved_leaf_mod = moved;
 
   // Data key of the new leaf e.
-  plan.item_key = chain_.step(chain_.step(a, c.right_link), c.new_leaf_mod);
+  plan.item_key = tally.step(tally.step(a, c.right_link), c.new_leaf_mod);
   return plan;
 }
 
 std::vector<Md> ClientMath::derive_all_keys(const Md& master,
                                             std::span<const Md> link_mods,
                                             std::span<const Md> leaf_mods) const {
+  StepTally tally(chain_);
   const std::size_t nodes = link_mods.size();
   const std::size_t n = leaf_count_of(nodes);
   std::vector<Md> keys;
@@ -747,11 +779,11 @@ std::vector<Md> ClientMath::derive_all_keys(const Md& master,
   std::vector<Md> prefix(nodes);
   prefix[0] = master;
   for (NodeId v = 1; v < nodes; ++v) {
-    prefix[v] = chain_.step(prefix[parent_of(v)], link_mods[v]);
+    prefix[v] = tally.step(prefix[parent_of(v)], link_mods[v]);
   }
   keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(chain_.step(prefix[n - 1 + i], leaf_mods[i]));
+    keys.push_back(tally.step(prefix[n - 1 + i], leaf_mods[i]));
   }
   return keys;
 }

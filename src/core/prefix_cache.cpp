@@ -38,6 +38,7 @@ Md PrefixCache::derive_key(const ModulatedHashChain& chain, const Md& master,
     cache_steps_saved.inc(start);
   }
   // Hash the missing suffix, caching each node's prefix along the way.
+  ModulatedHashChain::count_steps(depth - start + 1);
   for (std::size_t i = start; i < depth; ++i) {
     cur = chain.step(cur, path.links[i]);
     map_.emplace(path.nodes[i + 1], cur);

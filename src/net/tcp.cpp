@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #if defined(__linux__)
@@ -99,10 +100,16 @@ Status map_io_errno(const char* what) {
                 std::string("tcp: ") + what + ": " + std::strerror(errno));
 }
 
-Status write_all(int fd, const std::uint8_t* data, std::size_t n,
-                 const Deadline& dl) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
+/// Sends the `cnt` buffers of `iov` in order until all are out or the
+/// deadline expires. Each pass is one sendmsg over what is left; after a
+/// short write the next pass resumes at the exact byte it stopped at, even
+/// inside the first buffer. Consumes `iov` in place.
+Status write_all(int fd, iovec* iov, std::size_t cnt, const Deadline& dl) {
+  while (cnt > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(cnt);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) {
         continue;
@@ -115,8 +122,16 @@ Status write_all(int fd, const std::uint8_t* data, std::size_t n,
       }
       return map_io_errno("send");
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
+    auto left = static_cast<std::size_t>(w);
+    while (cnt > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --cnt;
+    }
+    if (cnt > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return Status::ok();
 }
@@ -411,13 +426,12 @@ Status write_frame(int fd, BytesView payload, int timeout_ms) {
   for (int i = 0; i < 4; ++i) {
     hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  if (auto st = write_all(fd, hdr, sizeof(hdr), dl); !st) {
-    return st;
-  }
-  if (payload.empty()) {
-    return Status::ok();
-  }
-  return write_all(fd, payload.data(), payload.size(), dl);
+  // Header and payload leave in one sendmsg: with TCP_NODELAY every send
+  // is its own segment, and a header that arrives without its body costs
+  // the peer's reactor an extra pass round its loop (DESIGN.md §11).
+  iovec iov[2] = {{hdr, sizeof(hdr)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  return write_all(fd, iov, 2, dl);
 }
 
 Result<Bytes> read_frame(int fd, int timeout_ms) {

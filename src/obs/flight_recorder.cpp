@@ -205,13 +205,27 @@ void FlightRecorder::record(FrEvent type, std::uint64_t rid, std::uint64_t a,
   }
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = ring->slots[seq & ring->mask];
-  s.pub.store(0, std::memory_order_relaxed);  // invalidate during rewrite
-  s.ts_ns.store(now_ns(), std::memory_order_relaxed);
-  s.rid.store(rid, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.type.store(static_cast<std::uint16_t>(type), std::memory_order_relaxed);
-  s.pub.store(seq + 1, std::memory_order_release);
+  // Claim the slot: only one writer may fill it at a time, else two
+  // writers a ring length apart interleave their fields. A writer that
+  // finds the slot being written, or already holding a newer event, drops
+  // its own event instead of waiting; dropped() counts it. The acquire
+  // orders our field stores after those of the slot's previous writer.
+  const std::uint64_t done = published(seq);
+  std::uint64_t cur = s.pub.load(std::memory_order_relaxed);
+  if ((cur & kWriting) != 0 || cur >= done ||
+      !s.pub.compare_exchange_strong(cur, done | kWriting,
+                                     std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+    return;
+  }
+  // Release stores: a reader whose acquire load sees any of them also sees
+  // the claim above, so its re-check of pub catches the rewrite.
+  s.ts_ns.store(now_ns(), std::memory_order_release);
+  s.rid.store(rid, std::memory_order_release);
+  s.a.store(a, std::memory_order_release);
+  s.b.store(b, std::memory_order_release);
+  s.type.store(static_cast<std::uint16_t>(type), std::memory_order_release);
+  s.pub.store(done, std::memory_order_release);
 }
 
 std::size_t FlightRecorder::capacity() const {
@@ -224,9 +238,39 @@ std::uint64_t FlightRecorder::recorded() const {
 }
 
 std::uint64_t FlightRecorder::dropped() const {
+  Ring* ring = ring_.load(std::memory_order_acquire);
   const std::uint64_t n = recorded();
-  const std::uint64_t cap = capacity();
-  return n > cap ? n - cap : 0;
+  if (ring == nullptr) {
+    return n;
+  }
+  return n - readable(*ring, n);
+}
+
+std::uint64_t FlightRecorder::readable(const Ring& ring, std::uint64_t n) {
+  const std::uint64_t cap = ring.mask + 1;
+  const std::uint64_t start = n > cap ? n - cap : 0;
+  std::uint64_t count = 0;
+  for (std::uint64_t seq = start; seq < n; ++seq) {
+    const Slot& s = ring.slots[seq & ring.mask];
+    count += s.pub.load(std::memory_order_acquire) == published(seq) ? 1 : 0;
+  }
+  return count;
+}
+
+bool FlightRecorder::read_slot(const Slot& s, std::uint64_t seq, Event& e) {
+  const std::uint64_t want = published(seq);
+  if (s.pub.load(std::memory_order_acquire) != want) {
+    return false;  // empty, being written, or holding another event
+  }
+  e.seq = seq;
+  e.ts_ns = s.ts_ns.load(std::memory_order_acquire);
+  e.rid = s.rid.load(std::memory_order_acquire);
+  e.a = s.a.load(std::memory_order_acquire);
+  e.b = s.b.load(std::memory_order_acquire);
+  e.type = static_cast<FrEvent>(s.type.load(std::memory_order_acquire));
+  // A writer that claimed the slot while we read may have changed some
+  // fields; its claim is visible by now if we saw any of its stores.
+  return s.pub.load(std::memory_order_relaxed) == want;
 }
 
 std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
@@ -240,18 +284,10 @@ std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
   const std::uint64_t start = n > cap ? n - cap : 0;
   out.reserve(static_cast<std::size_t>(n - start));
   for (std::uint64_t seq = start; seq < n; ++seq) {
-    const Slot& s = ring->slots[seq & ring->mask];
-    if (s.pub.load(std::memory_order_acquire) != seq + 1) {
-      continue;  // torn by a racing writer (or overwritten mid-scan)
-    }
     Event e;
-    e.seq = seq;
-    e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-    e.rid = s.rid.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.type = static_cast<FrEvent>(s.type.load(std::memory_order_relaxed));
-    out.push_back(e);
+    if (read_slot(ring->slots[seq & ring->mask], seq, e)) {
+      out.push_back(e);
+    }
   }
   return out;
 }
@@ -270,7 +306,7 @@ void FlightRecorder::dump_fd(int fd, const char* reason) const {
     h.str(" recorded=");
     h.dec(n);
     h.str(" dropped=");
-    h.dec(n > cap ? n - cap : 0);
+    h.dec(ring == nullptr ? n : n - readable(*ring, n));
     h.str(" capacity=");
     h.dec(cap);
     h.str("\n");
@@ -280,24 +316,23 @@ void FlightRecorder::dump_fd(int fd, const char* reason) const {
     return;
   }
   for (std::uint64_t seq = start; seq < n; ++seq) {
-    const Slot& s = ring->slots[seq & ring->mask];
-    if (s.pub.load(std::memory_order_acquire) != seq + 1) {
+    Event e;
+    if (!read_slot(ring->slots[seq & ring->mask], seq, e)) {
       continue;
     }
     LineBuf l;
     l.str("seq=");
     l.dec(seq);
     l.str(" ts_ns=");
-    l.dec(s.ts_ns.load(std::memory_order_relaxed));
+    l.dec(e.ts_ns);
     l.str(" type=");
-    l.str(fr_event_name(
-        static_cast<FrEvent>(s.type.load(std::memory_order_relaxed))));
+    l.str(fr_event_name(e.type));
     l.str(" rid=");
-    l.hex(s.rid.load(std::memory_order_relaxed));
+    l.hex(e.rid);
     l.str(" a=");
-    l.dec(s.a.load(std::memory_order_relaxed));
+    l.dec(e.a);
     l.str(" b=");
-    l.dec(s.b.load(std::memory_order_relaxed));
+    l.dec(e.b);
     l.str("\n");
     l.write_to(fd);
   }

@@ -8,10 +8,13 @@
 //
 // Design constraints, in order:
 //   1. record() is lock-free and allocation-free: one relaxed fetch-add
-//      claims a slot, relaxed stores fill it, a release store of the
-//      sequence number publishes it. Concurrent writers never block; a
-//      reader that races a wrapping writer detects the torn slot by its
-//      sequence number and skips it.
+//      picks a slot, a compare-exchange claims it, stores fill it, a
+//      release store of the sequence number publishes it. Concurrent
+//      writers never block: a writer that finds its slot still being
+//      filled (by a writer one ring length behind) drops its event and
+//      dropped() counts it. A reader checks the sequence number before and
+//      after copying a slot and skips it if a writer took it meanwhile, so
+//      no read mixes the fields of two events.
 //   2. Dumping must work from a crashing process: dump_fd() and
 //      dump_auto() use only async-signal-safe calls (loads, write(2),
 //      open(2), clock_gettime) and format numbers by hand — no malloc,
@@ -109,7 +112,9 @@ class FlightRecorder {
   std::size_t capacity() const;
   /// Events ever recorded (monotone).
   std::uint64_t recorded() const;
-  /// Events overwritten by wraparound (recorded - capacity, floored at 0).
+  /// Events recorded but not readable: overwritten by wraparound, dropped
+  /// by a writer that found its slot busy, or still being written.
+  /// recorded() - snapshot().size() once writers are quiet.
   std::uint64_t dropped() const;
 
   /// Copies the currently readable events, oldest first, skipping slots
@@ -148,8 +153,8 @@ class FlightRecorder {
   FlightRecorder();
 
   struct Slot {
-    // pub holds seq+1 with release ordering once the slot is readable;
-    // 0 while empty or mid-write.
+    // pub is published(seq) once event seq is readable, published(seq) |
+    // kWriting while its writer fills the slot, and 0 while never written.
     std::atomic<std::uint64_t> pub{0};
     std::atomic<std::uint64_t> ts_ns{0};
     std::atomic<std::uint64_t> rid{0};
@@ -165,6 +170,16 @@ class FlightRecorder {
     const std::size_t mask;  // capacity - 1 (capacity is 2^k)
     std::unique_ptr<Slot[]> slots;
   };
+
+  static constexpr std::uint64_t kWriting = 1;
+  static constexpr std::uint64_t published(std::uint64_t seq) {
+    return (seq + 1) << 1;
+  }
+  /// Events of the window [n - capacity, n) that are published. Signal-safe.
+  static std::uint64_t readable(const Ring& ring, std::uint64_t n);
+  /// Copies event `seq` out of `s`; false if the slot does not hold it or a
+  /// writer took the slot during the copy. Signal-safe.
+  static bool read_slot(const Slot& s, std::uint64_t seq, Event& e);
 
   std::atomic<Ring*> ring_{nullptr};
   std::atomic<std::uint64_t> next_{0};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/metrics.h"
 #include "support/harness.h"
 
 namespace fgad::test {
@@ -175,6 +176,33 @@ TEST(DeleteCommitValidation, BalanceFlagMismatch) {
   auto commit = plan.value().commit;
   commit.has_balance = false;
   EXPECT_EQ(h.store().delete_commit(commit).code(), Errc::kInvalidArgument);
+}
+
+// fgad_chain_steps_total counts every chain step of a single delete, the
+// direct ones in plan_delete as well as those inside prefixes(). At n = 16
+// the tree is complete, so k (item 0) and the balancing leaf t (the last
+// leaf) both sit at depth l = j = 4 and the general case applies:
+// 2l for the two prefix walks, 2 for the old key and the collision check,
+// 2l for the deltas, j for t's post-adjustment path, 1 for the promoted
+// sibling and 1 for t's new link: 4l + j + 4 = 24.
+TEST(DeleteCommitValidation, PlanDeleteCountsEveryChainStep) {
+  Harness h(HashAlg::kSha1, 12);
+  h.outsource(16);
+  auto slot = h.store().items().find(0);
+  ASSERT_TRUE(slot.has_value());
+  auto info = h.store().delete_begin(*slot);
+  ASSERT_TRUE(info.is_ok());
+  ASSERT_EQ(info.value().path.depth(), 4u);
+  ASSERT_EQ(info.value().t_path.depth(), 4u);
+  MasterKey fresh = MasterKey::generate(h.rnd(), h.math().width());
+  obs::Counter& steps =
+      obs::Registry::instance().counter("fgad_chain_steps_total");
+  const std::uint64_t before = steps.value();
+  auto plan = h.math().plan_delete(info.value(), h.master().value(),
+                                   fresh.value(), h.rnd());
+  ASSERT_TRUE(plan.is_ok());
+  ASSERT_TRUE(plan.value().commit.has_step2);
+  EXPECT_EQ(steps.value() - before, 24u);
 }
 
 // SHA-256 variant: the scheme is hash-agnostic.

@@ -7,10 +7,15 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#if defined(__linux__)
+#include <linux/tcp.h>  // tcp_info with tcpi_segs_out
+#include <sys/syscall.h>
+#endif
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -25,6 +30,33 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "proto/messages.h"
+
+// Caps the bytes one sendmsg call may take (0: no cap), so a test can make
+// write_frame's writes stop at any byte, inside the length header too. On
+// Linux the sendmsg defined below, which stands in for the C library's in
+// this binary, applies it; elsewhere it has no effect.
+static std::atomic<std::size_t> g_sendmsg_cap{0};
+
+#if defined(__linux__)
+extern "C" ssize_t sendmsg(int fd, const struct msghdr* msg, int flags) {
+  const std::size_t cap = g_sendmsg_cap.load(std::memory_order_relaxed);
+  if (cap == 0) {
+    return ::syscall(SYS_sendmsg, fd, msg, flags);
+  }
+  iovec iov[8];
+  msghdr m = *msg;
+  m.msg_iov = iov;
+  m.msg_iovlen = 0;
+  std::size_t room = cap;
+  for (std::size_t i = 0; i < msg->msg_iovlen && i < 8 && room > 0; ++i) {
+    iov[i] = msg->msg_iov[i];
+    iov[i].iov_len = std::min(iov[i].iov_len, room);
+    room -= iov[i].iov_len;
+    ++m.msg_iovlen;
+  }
+  return ::syscall(SYS_sendmsg, fd, &m, flags);
+}
+#endif
 
 namespace fgad::net {
 namespace {
@@ -356,6 +388,158 @@ TEST(TcpHardening, CreateSurfacesBindFailure) {
       << second.error().message;
 }
 
+// ---- framed writes (DESIGN.md §11) -----------------------------------------
+
+/// A connected loopback TCP pair, both ends non-blocking (so frame
+/// deadlines apply), TCP_NODELAY on the sending end. A `sndbuf` > 0 shrinks
+/// the sender's buffer before connecting.
+struct LoopbackPair {
+  int tx = -1;
+  int rx = -1;
+  LoopbackPair() = default;
+  LoopbackPair(const LoopbackPair&) = delete;
+  LoopbackPair& operator=(const LoopbackPair&) = delete;
+  ~LoopbackPair() {
+    if (tx >= 0) ::close(tx);
+    if (rx >= 0) ::close(rx);
+  }
+};
+
+void make_loopback_pair(LoopbackPair& p, int sndbuf = 0) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  p.tx = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(p.tx, 0);
+  if (sndbuf > 0) {
+    ::setsockopt(p.tx, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  }
+  ASSERT_EQ(::connect(p.tx, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  p.rx = ::accept(lfd, nullptr, nullptr);
+  ::close(lfd);
+  ASSERT_GE(p.rx, 0);
+  const int one = 1;
+  ::setsockopt(p.tx, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  for (const int fd : {p.tx, p.rx}) {
+    ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+  }
+}
+
+#if defined(__linux__)
+std::uint32_t segs_out(int fd) {
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len), 0);
+  return info.tcpi_segs_out;
+}
+
+TEST(TcpFraming, OneFrameLeavesAsOneSegment) {
+  // With TCP_NODELAY every send call is a segment of its own, so a frame
+  // written as header + payload in two calls costs two.
+  LoopbackPair p;
+  make_loopback_pair(p);
+  if (::testing::Test::HasFatalFailure()) return;
+  const Bytes payload(700, 0x5a);
+  const std::uint32_t before = segs_out(p.tx);
+  ASSERT_TRUE(write_frame(p.tx, payload, 2000));
+  EXPECT_EQ(segs_out(p.tx) - before, 1u);
+  auto got = read_frame(p.rx, 2000);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(got.value(), payload);
+}
+#endif
+
+/// Writes `frames` on p.tx while a reader thread reads them back off p.rx;
+/// expects every payload back byte for byte.
+void expect_round_trip(LoopbackPair& p, const std::vector<Bytes>& frames) {
+  std::vector<Bytes> got;
+  Status read_st = Status::ok();
+  std::thread reader([&] {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      auto r = read_frame(p.rx, 10000);
+      if (!r.is_ok()) {
+        read_st = r.status();
+        return;
+      }
+      got.push_back(std::move(r).value());
+    }
+  });
+  for (const Bytes& f : frames) {
+    const Status st = write_frame(p.tx, f, 10000);
+    EXPECT_TRUE(st.is_ok()) << st.to_string();
+    if (!st) break;
+  }
+  reader.join();
+  ASSERT_TRUE(read_st.is_ok()) << read_st.to_string();
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(got[i], frames[i]) << "frame " << i;
+  }
+}
+
+Bytes patterned(std::size_t n, std::uint64_t seed) {
+  Bytes out(n);
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return out;
+}
+
+TEST(TcpFraming, FramesRoundTripWhereverWritesStop) {
+  // Uncapped, then (on Linux) with sendmsg capped at 1, 3, 5 and 700
+  // bytes a call: writes stop inside the header, on its last byte, just
+  // past it and deep in the payload, and must resume at that byte.
+  LoopbackPair p;
+  make_loopback_pair(p);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::vector<Bytes> frames{Bytes{}, patterned(1, 1), patterned(10, 2),
+                                  patterned(4096, 3), Bytes{}};
+  std::vector<std::size_t> caps{0};
+#if defined(__linux__)
+  caps.insert(caps.end(), {1, 3, 5, 700});
+#endif
+  for (const std::size_t cap : caps) {
+    SCOPED_TRACE(cap);
+    g_sendmsg_cap.store(cap);
+    expect_round_trip(p, frames);
+    g_sendmsg_cap.store(0);
+  }
+}
+
+TEST(TcpFraming, ShortWritesOfALargeFrameResumeAtTheExactByte) {
+  // A 64 KiB send buffer cannot take a 4 MiB frame, so sendmsg returns
+  // short and the rest goes out over many calls.
+  LoopbackPair p;
+  make_loopback_pair(p, /*sndbuf=*/65536);
+  if (::testing::Test::HasFatalFailure()) return;
+  expect_round_trip(p, {patterned(std::size_t{4} << 20, 4), patterned(1, 5)});
+}
+
+TEST(TcpFraming, PeerThatNeverReadsTimesOut) {
+  // The peer's receive window and our send buffer fill up; the write must
+  // give up at its deadline instead of blocking.
+  LoopbackPair p;
+  make_loopback_pair(p, /*sndbuf=*/4096);
+  if (::testing::Test::HasFatalFailure()) return;
+  const Bytes big(std::size_t{8} << 20, 0x11);
+  Stopwatch sw;
+  const Status st = write_frame(p.tx, big, 200);
+  EXPECT_EQ(st.code(), Errc::kTimeout) << st.to_string();
+  EXPECT_GE(sw.elapsed_seconds(), 0.15);
+  EXPECT_LT(sw.elapsed_seconds(), 2.0);
+}
+
 // ---- pipelining (DESIGN.md §15) --------------------------------------------
 
 /// Appends one u32-LE framed message to `out`.
@@ -577,10 +761,20 @@ TEST(TcpPipelining, SlowReaderBackpressurePausesReads) {
   // of frames (how many depends on kernel buffer auto-tuning, so no
   // fixed fraction): the real backpressure property is that handling
   // *stalls* while the peer refuses to read — progress between two
-  // samples must be (near) zero and the bulk still unprocessed.
-  const std::size_t sample1 = handled.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const std::size_t sample2 = handled.load();
+  // samples must be (near) zero and the bulk still unprocessed. On a slow
+  // host (sanitizers, other tests running alongside) the buffers may take
+  // longer than 300 ms to fill, so keep sampling until handling stalls, for
+  // up to 10 s.
+  std::size_t sample1 = handled.load();
+  std::size_t sample2 = sample1;
+  for (int i = 0; i < 50; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    sample2 = handled.load();
+    if (sample2 - sample1 <= 8u) {
+      break;
+    }
+    sample1 = sample2;
+  }
   EXPECT_LT(sample2, static_cast<std::size_t>(kFrames));
   EXPECT_LE(sample2 - sample1, 8u);
   for (int i = 0; i < kFrames; ++i) {
